@@ -132,9 +132,12 @@ class Parser {
     std::string p = "$";
     for (const auto& seg : path_) {
       if (seg.key.empty() && seg.index >= 0) {
-        p += "[" + std::to_string(seg.index) + "]";
+        p.push_back('[');
+        p.append(std::to_string(seg.index));
+        p.push_back(']');
       } else {
-        p += "." + seg.key;
+        p.push_back('.');
+        p.append(seg.key);
       }
     }
     return p;

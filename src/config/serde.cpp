@@ -636,9 +636,9 @@ void from_json(const json::Value& j, core::SweepOptions& v,
 // model, parallelism, gpus_per_node, fabric, rotor_slot_time,
 // rotor_port_spread, nic_ports, nic_total_bw, nvlink_bw, ocs_reconfig_delay,
 // mgmt_bw, gpu, mfu, activation_recompute, iteration, engine, provisioning,
-// mgmt_offload_threshold, iterations, record_compute_trace,
-// eager_fabric_wiring, faults, telemetry.
-static_assert(field_count<core::ExperimentConfig> == 23,
+// mgmt_offload_threshold, iterations, record_compute_trace, faults,
+// telemetry.
+static_assert(field_count<core::ExperimentConfig> == 22,
               "ExperimentConfig changed: wire the new/removed field into "
               "to_json/from_json below, then update this count");
 
@@ -700,9 +700,6 @@ json::Value to_json(const core::ExperimentConfig& v,
   }
   if (v.record_compute_trace != defaults.record_compute_trace) {
     o.set("record_compute_trace", Value(v.record_compute_trace));
-  }
-  if (v.eager_fabric_wiring != defaults.eager_fabric_wiring) {
-    o.set("eager_fabric_wiring", Value(v.eager_fabric_wiring));
   }
   if (!(v.faults == defaults.faults)) {
     o.set("faults", to_json(v.faults, defaults.faults));
@@ -776,9 +773,6 @@ void from_json(const json::Value& j, core::ExperimentConfig& v,
   }
   if (const Value* p = r.key("record_compute_trace")) {
     v.record_compute_trace = read_bool(*p, r.sub("record_compute_trace"));
-  }
-  if (const Value* p = r.key("eager_fabric_wiring")) {
-    v.eager_fabric_wiring = read_bool(*p, r.sub("eager_fabric_wiring"));
   }
   if (const Value* p = r.key("faults")) {
     from_json(*p, v.faults, r.sub("faults"));

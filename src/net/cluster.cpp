@@ -29,18 +29,7 @@ int rotor_rounds_for(int n_nodes) {
 }
 
 Cluster::Cluster(sim::Simulator& sim, ClusterConfig cfg)
-    : Cluster(sim, nullptr, std::move(cfg)) {}
-
-Cluster::Cluster(sim::Simulator& sim, FluidNetwork& net, ClusterConfig cfg)
-    : Cluster(sim, &net, std::move(cfg)) {}
-
-Cluster::Cluster(sim::Simulator& sim, FluidNetwork* net, ClusterConfig cfg)
-    : sim_(sim),
-      cfg_(cfg),
-      owned_net_(net == nullptr ? std::make_unique<FluidNetwork>(sim)
-                                : nullptr),
-      net_(net == nullptr ? *owned_net_ : *net),
-      route_bytes_(6, 0) {
+    : sim_(sim), cfg_(cfg), net_(sim), route_bytes_(6, 0) {
   ensure(cfg_.n_nodes > 0, "cluster requires nodes");
   ensure(cfg_.gpus_per_node > 0, "cluster requires GPUs per node");
   ensure(cfg_.nic_ports == 1 || cfg_.nic_ports == 2 || cfg_.nic_ports == 4,
@@ -90,20 +79,6 @@ Cluster::Cluster(sim::Simulator& sim, FluidNetwork* net, ClusterConfig cfg)
       OpticalCircuitSwitch* sw = rail_ocs_.back().get();
       sw->set_flow_rescuer([this](FlowId f) { rescue_flow(f); });
       sw->set_topology_listener([this] { retry_parked(); });
-    }
-    if (cfg_.fabric == FabricKind::kRotor) {
-      ensure(cfg_.n_nodes >= 2, "a rotor fabric needs at least two nodes");
-      if (!cfg_.defer_fabric_wiring) {
-        // Legacy eager pre-wiring (compat flag): every rail starts on
-        // rotation round 0 before any transport exists. The default lazy
-        // path skips this — the RotorTransport wires its own span's round-0
-        // matchings at construction (and skips the force when they are
-        // already live), so eager and lazy runs are bit-identical.
-        for (int r = 0; r < rails; ++r) {
-          rail_ocs_[static_cast<std::size_t>(r)]->force_circuits(
-              rotor_matching_circuits(RailId{r}, 0));
-        }
-      }
     }
   } else {
     rail_electrical_.reserve(static_cast<std::size_t>(rails));
@@ -185,11 +160,6 @@ TimeNs Cluster::total_ocs_dark_time() const {
 int Cluster::rotor_rounds() const {
   ensure(cfg_.fabric == FabricKind::kRotor, "rotor_rounds: not a rotor fabric");
   return rotor_rounds_for(cfg_.n_nodes);
-}
-
-std::vector<CircuitRequest> Cluster::rotor_matching_circuits(RailId rail,
-                                                             int round) const {
-  return rotor_matching_circuits(rail, round, NodeSpan{0, cfg_.n_nodes});
 }
 
 std::vector<CircuitRequest> Cluster::rotor_matching_circuits(
@@ -507,6 +477,16 @@ std::vector<GpuId> Cluster::rail_multihop_path(GpuId src, GpuId dst) const {
   return path;
 }
 
+// One shared record per multi-hop transfer, so the caller's completion is
+// moved in once and never copied per hop.
+struct Cluster::HopWalk {
+  std::vector<GpuId> path;
+  std::size_t hop;  // index in `path` of the next hop's source
+  Bytes bytes;
+  std::function<void()> done;  // fires when the last hop delivers
+  bool charge_rail;            // account Route::kRail at each hop's source
+};
+
 void Cluster::transfer_rail(GpuId src, GpuId dst, Bytes bytes,
                             std::function<void()> on_complete) {
   if (photonic() && cfg_.allow_rail_multihop &&
@@ -514,7 +494,7 @@ void Cluster::transfer_rail(GpuId src, GpuId dst, Bytes bytes,
     // No direct circuit: forward store-and-forward through intermediate
     // same-rail GPUs over live circuits (§5). The per-hop accounting below
     // exposes the bandwidth tax.
-    const std::vector<GpuId> path = rail_multihop_path(src, dst);
+    std::vector<GpuId> path = rail_multihop_path(src, dst);
     if (path.size() < 2) {
       if (fault_tolerant_) {
         // Destination currently unreachable (failure cut every live path):
@@ -532,16 +512,8 @@ void Cluster::transfer_rail(GpuId src, GpuId dst, Bytes bytes,
              "circuits even with multi-hop forwarding");
     }
     account(Route::kRailMultiHop, src, bytes);
-    // Chain the hops back to front so each callback launches the next.
-    std::function<void()> chain = std::move(on_complete);
-    for (std::size_t i = path.size() - 1; i >= 1; --i) {
-      const GpuId hop_src = path[i - 1];
-      const GpuId hop_dst = path[i];
-      chain = [this, hop_src, hop_dst, bytes, next = std::move(chain)] {
-        transfer_rail_hop(hop_src, hop_dst, bytes, next);
-      };
-    }
-    chain();
+    walk_path(std::make_shared<HopWalk>(HopWalk{
+        std::move(path), 0, bytes, std::move(on_complete), true}));
     return;
   }
   transfer_rail_hop(src, dst, bytes, std::move(on_complete));
@@ -562,6 +534,22 @@ void Cluster::transfer_rail_hop(GpuId src, GpuId dst, Bytes bytes,
   start_rail_circuit_flows(src, dst, bytes, std::move(on_complete));
 }
 
+void Cluster::walk_path(std::shared_ptr<HopWalk> walk) {
+  if (walk->hop + 1 == walk->path.size()) {
+    const std::function<void()> done = std::move(walk->done);
+    if (done) done();
+    return;
+  }
+  const GpuId src = walk->path[walk->hop];
+  const GpuId dst = walk->path[++walk->hop];
+  const Bytes bytes = walk->bytes;
+  if (walk->charge_rail) account(Route::kRail, src, bytes);
+  start_rail_circuit_flows(src, dst, bytes,
+                           [this, walk = std::move(walk)]() mutable {
+                             walk_path(std::move(walk));
+                           });
+}
+
 void Cluster::start_rail_circuit_flows(GpuId src, GpuId dst, Bytes bytes,
                                        std::function<void()> on_complete) {
   const std::vector<LinkId> circuits = live_circuit_links(src, dst);
@@ -578,45 +566,30 @@ void Cluster::start_rail_circuit_flows(GpuId src, GpuId dst, Bytes bytes,
            "photonic rail transfer without a live circuit: the control plane "
            "must reconfigure the rail before communication starts");
   }
-  if (!fault_tolerant_) {
-    if (circuits.size() == 1) {
-      net_.start_flow({circuits[0]}, bytes, cfg_.rail_latency,
-                      std::move(on_complete));
-      return;
-    }
-    // Stripe across parallel circuits; complete when every stripe lands.
-    const auto n = static_cast<Bytes>(circuits.size());
-    auto pending = std::make_shared<int>(static_cast<int>(n));
-    auto done = std::make_shared<std::function<void()>>(std::move(on_complete));
-    for (std::size_t i = 0; i < circuits.size(); ++i) {
-      const Bytes stripe =
-          bytes / n + (static_cast<Bytes>(i) < bytes % n ? 1 : 0);
-      net_.start_flow({circuits[i]}, stripe, cfg_.rail_latency,
-                      [pending, done] {
-                        if (--*pending == 0 && *done) (*done)();
-                      });
-    }
-    return;
-  }
-  // Fault-tolerant: the same single/striped flows, but each one registered
-  // so a mid-flight circuit failure can rescue its remaining bytes. Identical
-  // flow shapes and timing — the registry is bookkeeping, not a data path.
-  if (circuits.size() == 1) {
-    track_rail_flow(circuits[0], src, dst, bytes,
-                    std::make_shared<std::function<void()>>(
-                        std::move(on_complete)));
-    return;
-  }
+  // A lone circuit carries the caller's completion itself; parallel circuits
+  // each carry a stripe and share a countdown that fires it once every
+  // stripe has landed. Fault-tolerant runs register every stripe so a
+  // mid-flight circuit failure can rescue its remaining bytes — identical
+  // flow shapes and timing, the registry is bookkeeping, not a data path.
   const auto n = static_cast<Bytes>(circuits.size());
-  auto pending = std::make_shared<int>(static_cast<int>(n));
-  auto done = std::make_shared<std::function<void()>>(std::move(on_complete));
+  std::function<void()> done = std::move(on_complete);
+  if (n > 1) {
+    done = [pending = std::make_shared<Bytes>(n),
+            all = std::make_shared<std::function<void()>>(std::move(done))] {
+      if (--*pending == 0 && *all) (*all)();
+    };
+  }
   for (std::size_t i = 0; i < circuits.size(); ++i) {
     const Bytes stripe =
         bytes / n + (static_cast<Bytes>(i) < bytes % n ? 1 : 0);
-    track_rail_flow(circuits[i], src, dst, stripe,
-                    std::make_shared<std::function<void()>>([pending, done] {
-                      if (--*pending == 0 && *done) (*done)();
-                    }));
+    std::function<void()> cb =
+        i + 1 == circuits.size() ? std::move(done) : done;
+    if (fault_tolerant_) {
+      track_rail_flow(circuits[i], src, dst, stripe,
+                      std::make_shared<std::function<void()>>(std::move(cb)));
+    } else {
+      net_.start_flow({circuits[i]}, stripe, cfg_.rail_latency, std::move(cb));
+    }
   }
 }
 
@@ -667,17 +640,11 @@ void Cluster::resend_rescued(GpuId src, GpuId dst, Bytes bytes,
   // Degraded continuation: forward over surviving circuits even on fabrics
   // that normally forbid multi-hop (Opus re-plans future collectives, but
   // in-flight bytes cannot wait for the next layout).
-  const std::vector<GpuId> path = rail_multihop_path(src, dst);
+  std::vector<GpuId> path = rail_multihop_path(src, dst);
   if (path.size() >= 2) {
-    std::function<void()> chain = [done] { if (*done) (*done)(); };
-    for (std::size_t i = path.size() - 1; i >= 1; --i) {
-      const GpuId hop_src = path[i - 1];
-      const GpuId hop_dst = path[i];
-      chain = [this, hop_src, hop_dst, bytes, next = std::move(chain)] {
-        start_rail_circuit_flows(hop_src, hop_dst, bytes, next);
-      };
-    }
-    chain();
+    walk_path(std::make_shared<HopWalk>(
+        HopWalk{std::move(path), 0, bytes,
+                [done] { if (*done) (*done)(); }, false}));
     return;
   }
   if (try_emergency_circuit(src, dst) && has_live_circuit(src, dst)) {
@@ -771,8 +738,7 @@ void Cluster::fail_nic_port(NodeId node, int rail, int slot) {
   ensure(slot >= 0 && slot < cfg_.nic_ports, "invalid NIC port slot");
   if (nic_port_failed(node, rail, slot)) return;  // idempotent
   if (photonic()) {
-    ocs(RailId{rail}).fail_port(PortId{node.value() * cfg_.nic_ports + slot},
-                                /*force=*/true);
+    ocs(RailId{rail}).fail_port(PortId{node.value() * cfg_.nic_ports + slot});
   } else {
     const auto key =
         static_cast<std::int64_t>(node.value()) * n_rails() + rail;

@@ -13,11 +13,13 @@
 // share the same OCS hardware but differ in who reconfigures it and when:
 // Opus reconfigures on demand (the control plane in src/core), a static ring
 // is wired once pre-job and never again, and a rotor cycles through the
-// round-robin matchings obliviously. The Cluster wires any pre-job topology
-// the fabric requires (rotor round-0 matchings here; the static ring's
-// circuits are wired by core::StaticRingTransport) and normalizes the
-// multi-hop forwarding settings each fabric depends on — callers select a
-// FabricKind and get a consistent cluster.
+// round-robin matchings obliviously. The Cluster wires no circuits itself:
+// each transport wires its own node span when it is built (the rotor's
+// round-0 matchings by core::RotorTransport, the static ring's circuits by
+// core::StaticRingTransport), so rails light up on first traffic and a
+// whole-fabric matching never pre-connects ports across tenant boundaries.
+// The Cluster normalizes the multi-hop forwarding settings each fabric
+// depends on — callers select a FabricKind and get a consistent cluster.
 #pragma once
 
 #include <array>
@@ -138,16 +140,6 @@ struct ClusterConfig {
   /// static ring forwards arbitrarily far around the ring.
   int max_multihop_hops = 0;
 
-  /// Lazy fabric wiring (the default): the constructor performs no pre-job
-  /// wiring — each transport wires its own node span when it is built (the
-  /// rotor's round-0 matchings, the static ring's circuits), so rails light
-  /// up on first traffic and a whole-fabric matching never pre-connects
-  /// ports across future tenant boundaries. Set to false to restore the
-  /// legacy eager pre-wiring (the rotor's round-0 matchings forced at
-  /// construction) — a compat flag kept so tests can pin lazy == eager.
-  /// Fabric normalization (multi-hop settings) happens either way.
-  bool defer_fabric_wiring = true;
-
   /// kRotor only: how many consecutive round-robin matchings are striped
   /// across the NIC ports. 1 (classic) points every port of a node at the
   /// same peer, so the live topology is a perfect matching and traffic
@@ -170,12 +162,8 @@ struct ClusterConfig {
 ///                                   the destination's local rank, then rail
 class Cluster {
  public:
-  /// Owns its FluidNetwork (the single-pod case).
+  /// Owns its FluidNetwork; wires no circuits (see the fabric contract).
   Cluster(sim::Simulator& sim, ClusterConfig cfg);
-  /// Shares an externally owned FluidNetwork — the multi-pod case: several
-  /// pod Clusters plus inter-pod trunks live on one data plane so cross-pod
-  /// and intra-pod traffic genuinely contend (see net::MultiPodFabric).
-  Cluster(sim::Simulator& sim, FluidNetwork& net, ClusterConfig cfg);
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
@@ -218,18 +206,14 @@ class Cluster {
   /// kRotor: length of the rotation cycle — the n-1 (even n) or n (odd n)
   /// circle-method rounds that together connect every node pair once.
   int rotor_rounds() const;
-  /// kRotor: the circuit layout of rotation round `round` on `rail`. NIC
+  /// kRotor: the circuit layout of rotation round `round` on `rail` over
+  /// the nodes of `span` (matching ids are relative to span.first). NIC
   /// port p carries matching `round + (p % rotor_port_spread)`, so a spread
   /// of 1 reproduces the classic single-matching rotor and a spread of 2+
-  /// keeps the rail connected for bounded multi-hop forwarding. The Cluster
-  /// constructor wires round 0; the RotorTransport drives the rotation.
-  std::vector<CircuitRequest> rotor_matching_circuits(RailId rail,
-                                                      int round) const;
-  /// Span-scoped variant: the matchings of rotation round `round` over just
-  /// the nodes of `span` (a tenant sub-rotor; matching ids are relative to
-  /// span.first). The port spread is re-clamped to the span's own cycle
-  /// length, so a 2-node tenant degrades to the classic single-matching
-  /// rotor even when the fleet-wide spread is 2.
+  /// keeps the rail connected for bounded multi-hop forwarding. The spread
+  /// is re-clamped to the span's own cycle length, so a 2-node tenant
+  /// degrades to the classic rotor even when the fleet-wide spread is 2.
+  /// The span's RotorTransport wires round 0 and drives the rotation.
   std::vector<CircuitRequest> rotor_matching_circuits(RailId rail, int round,
                                                       NodeSpan span) const;
 
@@ -307,7 +291,7 @@ class Cluster {
   bool fault_tolerant() const { return fault_tolerant_; }
 
   /// Fails NIC port `slot` of `node` on `rail`, mid-run: photonic rails tear
-  /// the port's circuit and rescue/abort its flows (OCS fail_port, forced);
+  /// the port's circuit and rescue/abort its flows (OCS fail_port);
   /// electrical rails degrade the node's rail bandwidth to the surviving
   /// lane fraction. Fires the fault listener. Idempotent.
   void fail_nic_port(NodeId node, int rail, int slot);
@@ -351,8 +335,6 @@ class Cluster {
   void abort_span_traffic(NodeSpan span);
 
  private:
-  Cluster(sim::Simulator& sim, FluidNetwork* net, ClusterConfig cfg);
-
   /// Lazy scale-up plumbing: the fluid link behind a GPU's NVSwitch
   /// injection/ejection port, created on first use. A 4096-node pod whose
   /// only tenant spans 64 nodes materializes 128 nodes' worth of NVLink
@@ -369,6 +351,12 @@ class Cluster {
   /// One circuit hop between same-rail neighbours (requires live circuits).
   void transfer_rail_hop(GpuId src, GpuId dst, Bytes bytes,
                          std::function<void()> on_complete);
+  /// A store-and-forward walk along a same-rail GPU path (§5 multi-hop),
+  /// shared by fresh transfers and rescued flows.
+  struct HopWalk;
+  /// Starts the walk's next hop over direct circuits (the next one starts
+  /// when it delivers), or fires `done` once the path is exhausted.
+  void walk_path(std::shared_ptr<HopWalk> walk);
   /// Live circuit links src -> dst on their shared rail (photonic).
   std::vector<LinkId> live_circuit_links(GpuId src, GpuId dst) const;
   /// Allocation-free: true iff some live circuit connects src -> dst.
@@ -436,11 +424,8 @@ class Cluster {
 
   sim::Simulator& sim_;
   ClusterConfig cfg_;
-  // Data plane: owned in the single-pod case, external when several pod
-  // Clusters share one network. owned_net_ must precede net_ so the
-  // reference can bind to it.
-  std::unique_ptr<FluidNetwork> owned_net_;
-  FluidNetwork& net_;
+  // Data plane; declared before the switches that add links to it.
+  FluidNetwork net_;
   // Scale-up: per-GPU injection/ejection links into the node's NVSwitch,
   // invalid until first use (see nvl_in/nvl_out).
   std::vector<LinkId> nvl_in_;

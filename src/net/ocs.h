@@ -148,16 +148,13 @@ class OpticalCircuitSwitch {
     return port_tx_link_[static_cast<std::size_t>(port)];
   }
 
-  /// Fails a port (fiber cut / transceiver death): its circuit is torn down
-  /// and no future circuit may use it until repair_port. The default
-  /// (`force = true`) models a mid-run failure — traffic on the dying
-  /// circuit is handed to the flow rescuer (set_flow_rescuer) or aborted
-  /// outright, and a failure mid-reconfiguration simply marks the port so
-  /// the completion skips re-establishing its circuit. `force = false`
-  /// keeps the legacy between-kernels precondition (quiescent, not dark) —
-  /// the recovery model of LUMION, the paper's fault-recovery companion
-  /// work. Idempotent on an already-failed port.
-  void fail_port(PortId p, bool force = true);
+  /// Fails a port mid-run (fiber cut / transceiver death): its circuit is
+  /// torn down and no future circuit may use it until repair_port. Traffic
+  /// on the dying circuit is handed to the flow rescuer (set_flow_rescuer)
+  /// or aborted outright, and a failure mid-reconfiguration simply marks the
+  /// port so the completion skips re-establishing its circuit. Idempotent on
+  /// an already-failed port.
+  void fail_port(PortId p);
   /// Repairs a failed port: future circuits may use it again. The old
   /// circuit is NOT restored — owners re-wire on their own schedule (rotor
   /// next rotation, ring re-splice, Opus next plan); the topology listener
@@ -189,7 +186,7 @@ class OpticalCircuitSwitch {
   void set_topology_listener(std::function<void()> cb) {
     topology_listener_ = std::move(cb);
   }
-  /// When set, a forced fail_port hands each flow on the dying circuit to
+  /// When set, fail_port hands each flow on the dying circuit to
   /// this callback (which must abort and re-route or park it) instead of
   /// aborting it silently.
   void set_flow_rescuer(std::function<void(FlowId)> cb) {

@@ -94,6 +94,64 @@ TEST(MultiHop, BfsFindsShortestDirection) {
   EXPECT_EQ(path.size(), 3u);
 }
 
+// A completion functor that counts how often it is copied (moves are free).
+struct CopyCountingDone {
+  int* copies;
+  bool* delivered;
+  CopyCountingDone(int* c, bool* d) : copies(c), delivered(d) {}
+  CopyCountingDone(const CopyCountingDone& o)
+      : copies(o.copies), delivered(o.delivered) {
+    ++*copies;
+  }
+  CopyCountingDone(CopyCountingDone&&) = default;
+  void operator()() const { *delivered = true; }
+};
+
+TEST(MultiHop, CompletionIsNeverCopiedPerHop) {
+  // Forwarding n/2 hops around a ring must move the caller's completion
+  // along, not copy it once per hop (which made chain setup O(path^2)).
+  for (const int nodes : {8, 128}) {
+    SCOPED_TRACE(nodes);
+    sim::Simulator sim;
+    net::Cluster c(sim, multihop_cfg(nodes));
+    wire_ring(c, 0);
+    int copies = 0;
+    bool delivered = false;
+    c.transfer(c.gpu_at(NodeId{0}, 0), c.gpu_at(NodeId{nodes / 2}, 0),
+               1'000'000, CopyCountingDone(&copies, &delivered));
+    sim.run();
+    EXPECT_TRUE(delivered);
+    EXPECT_EQ(copies, 0);
+    EXPECT_EQ(c.bytes_on_route(net::Cluster::Route::kRail),
+              Bytes{1'000'000} * (nodes / 2));
+  }
+}
+
+TEST(MultiHop, RescuedCompletionIsNeverCopiedPerHop) {
+  // The same walk through the rescue path: the first hop's circuit dies
+  // mid-flight, so its remaining bytes forward the long way round the ring
+  // (n-1 unaccounted hops) before the original walk continues.
+  for (const int nodes : {8, 128}) {
+    SCOPED_TRACE(nodes);
+    sim::Simulator sim;
+    net::Cluster c(sim, multihop_cfg(nodes));
+    c.set_fault_tolerant(true);
+    wire_ring(c, 0);
+    int copies = 0;
+    bool delivered = false;
+    // 25 MB at 200 Gb/s = 1 ms per hop; node 0's port 0 (its circuit to
+    // node 1, the first hop) fails halfway through.
+    c.transfer(c.gpu_at(NodeId{0}, 0), c.gpu_at(NodeId{nodes / 2}, 0),
+               25'000'000, CopyCountingDone(&copies, &delivered));
+    sim.schedule_at(usecs(500), [&] { c.fail_nic_port(NodeId{0}, 0, 0); });
+    sim.run();
+    EXPECT_TRUE(delivered);
+    EXPECT_EQ(copies, 0);
+    EXPECT_EQ(c.rescued_flow_count(), 1);
+    EXPECT_EQ(c.parked_transfer_count(), 0);
+  }
+}
+
 TEST(StaticRing, TransportWiresEveryRail) {
   sim::Simulator sim;
   net::Cluster c(sim, multihop_cfg(4));

@@ -31,7 +31,7 @@ static_assert(field_count<workload::IterationEngine::Options> == 3);
 static_assert(field_count<core::FaultConfig> == 6);
 static_assert(field_count<obs::TelemetryConfig> == 5);
 static_assert(field_count<core::SweepOptions> == 2);
-static_assert(field_count<core::ExperimentConfig> == 23);
+static_assert(field_count<core::ExperimentConfig> == 22);
 static_assert(field_count<fleet::JobShape> == 4);
 static_assert(field_count<fleet::ArrivalConfig> == 5);
 static_assert(field_count<fleet::FleetConfig> == 7);
@@ -145,7 +145,6 @@ TEST(Serde, RandomizedExperimentConfigsRoundTrip) {
     cfg.mgmt_offload_threshold = static_cast<Bytes>(rng.next() % (1 << 20));
     cfg.iterations = pick_int(1, 5);
     cfg.record_compute_trace = (rng.next() & 1) != 0;
-    cfg.eager_fabric_wiring = (rng.next() & 1) != 0;
     cfg.faults.enabled = (rng.next() & 1) != 0;
     cfg.faults.mtbf_per_port = msecs(pick_int(1, 100));
     cfg.faults.seed = rng.next() >> 1;
@@ -202,6 +201,12 @@ TEST(SerdeErrors, UnknownKeyReportsExactPath) {
                   R"({"arrivals": {"shapes": [{"wieght": 2}]}})"));
             }),
             "$.arrivals.shapes[0].wieght");
+  // The retired eager-wiring compat knob is rejected like any unknown key.
+  EXPECT_EQ(serde_error_path([] {
+              config::experiment_from_json(
+                  json::parse(R"({"eager_fabric_wiring": true})"));
+            }),
+            "$.eager_fabric_wiring");
 }
 
 TEST(SerdeErrors, WrongTypeReportsExactPath) {
