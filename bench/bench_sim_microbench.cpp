@@ -96,7 +96,8 @@ void BM_FluidMaxMinResolve(benchmark::State& state) {
     std::vector<LinkId> links;
     for (int i = 0; i < 64; ++i) links.push_back(net.add_link(Bandwidth::gbps(400)));
     for (int f = 0; f < flows; ++f) {
-      // Each start_flow re-solves max-min over all active flows.
+      // The starts coalesce into one solve at t=0; each later completion
+      // instant re-solves over the flows still active.
       net.start_flow({links[static_cast<std::size_t>(f % 64)],
                       links[static_cast<std::size_t>((f + 7) % 64)]},
                      mib(1), 0, nullptr);
@@ -111,7 +112,7 @@ BENCHMARK(BM_FluidMaxMinResolve)->Arg(16)->Arg(64)->Arg(256);
 // Flow-registry iteration cost: N long-lived flows held active while a
 // link's capacity flaps, so every tick is one full max-min re-solve over the
 // registry (the static-ring hot path in miniature: the 512-node cell does
-// 2.87M such solves). With the hash-map registry each re-solve iterated an
+// 1.05M such solves). With the hash-map registry each re-solve iterated an
 // unordered_map and hashed a FlowId per per-link lookup; the dense
 // slot-indexed registry walks a contiguous active-slot index and resolves
 // every id with an array index. items/s = flow re-rates per second.
@@ -134,6 +135,7 @@ void BM_FluidRegistryIteration(benchmark::State& state) {
     wide = !wide;
     net.set_capacity(links[0],
                      wide ? Bandwidth::gbps(800) : Bandwidth::gbps(400));
+    sim.run_until(sim.now());  // close the instant: runs the deferred solve
     benchmark::DoNotOptimize(net.active_flow_count());
   }
   state.SetItemsProcessed(state.iterations() * flows);
@@ -270,12 +272,13 @@ BENCHMARK(BM_OcsReconfigure);
 // telemetry hub off (arg 0 — the default-config path every perf-sensitive
 // run takes) and on (arg 1: metrics registry + 1 ms probe, in-memory only,
 // no file exports). The ring is the instrumentation-hottest fabric — its
-// ~64-hop forwarding chains drive millions of max-min re-solves, each
-// bumping the always-on solver tallies that telemetry polls as pull-gauges
-// — so disabled-mode overhead would surface here first. Acceptance: arg-0
-// wall time within 2% of the pre-instrumentation history for this cell
-// (telemetry off compiles down to a handful of null-pointer branches); the
-// arg-0 -> arg-1 delta is the measured cost of turning metrics on.
+// ~64-hop forwarding chains drive about a million max-min solves (one per
+// simulated instant with a flow change), each bumping the always-on solver
+// tallies that telemetry polls as pull-gauges — so disabled-mode overhead
+// would surface here first. Acceptance: arg-0 wall time within 2% of the
+// pre-instrumentation history for this cell (telemetry off compiles down to
+// a handful of null-pointer branches); the arg-0 -> arg-1 delta is the
+// measured cost of turning metrics on.
 // OPUS_BENCH_SMOKE=1 shrinks 512 nodes -> 64 so the smoke pass stays fast;
 // the full-size cell matches the FiveHundredTwelveNodeStaticRing CI leg.
 void BM_MetricsOverhead(benchmark::State& state) {

@@ -29,6 +29,14 @@ constexpr TimeNs kMaxSchedulableNs =
     2 * static_cast<TimeNs>(kMaxCompletionHorizonNs);
 }  // namespace
 
+FluidNetwork::FluidNetwork(sim::Simulator& sim)
+    : sim_(sim), solve_hook_(sim.register_instant_hook(&on_instant_end, this)) {}
+
+FluidNetwork::~FluidNetwork() {
+  sim_.unregister_instant_hook(solve_hook_);
+  if (completion_event_.valid()) sim_.cancel(completion_event_);
+}
+
 LinkId FluidNetwork::add_link(Bandwidth capacity, std::string name) {
   ensure(capacity.bits_per_sec >= 0.0, "link capacity must be non-negative");
   if (!free_.empty()) {
@@ -83,7 +91,7 @@ void FluidNetwork::set_capacity(LinkId link, Bandwidth capacity) {
   const auto li = static_cast<std::size_t>(link.value());
   links_[li].capacity = capacity;
   cap_bytes_per_ns_[li] = capacity.bytes_per_ns();
-  recompute();
+  request_solve();
 }
 
 FluidNetwork::Flow* FluidNetwork::find_flow(FlowId flow) {
@@ -171,7 +179,7 @@ FlowId FluidNetwork::start_flow(std::vector<LinkId> path, Bytes bytes,
   attach_to_links(id, f);
   f.draining_pos = static_cast<std::uint32_t>(draining_.size());
   draining_.push_back(slot);
-  recompute();
+  request_solve();
   return id;
 }
 
@@ -188,7 +196,7 @@ bool FluidNetwork::abort_flow(FlowId flow) {
   detach_from_links(flow, *f);
   remove_from_draining(*f);
   release_slot(flow.slot());
-  recompute();
+  request_solve();
   return true;
 }
 
@@ -221,6 +229,7 @@ bool FluidNetwork::flow_active(FlowId flow) const {
 double FluidNetwork::flow_rate_bps(FlowId flow) const {
   const Flow* f = find_flow(flow);
   ensure(f != nullptr, "flow_rate_bps: flow not active");
+  flush();
   return f->rate_bytes_per_ns * 8e9;
 }
 
@@ -236,6 +245,7 @@ Bytes FluidNetwork::flow_remaining(FlowId flow) const {
 double FluidNetwork::allocated_bps(LinkId link) const {
   check_live_link(link);
   const auto li = static_cast<std::size_t>(link.value());
+  flush();
   double bps = 0.0;
   for (FlowId id : link_state_[li].flows) {
     bps += flows_[id.slot()].rate_bytes_per_ns * 8e9;
@@ -418,7 +428,12 @@ void FluidNetwork::reschedule_completion_event() {
       sim_.schedule_at(earliest, [this] { on_completion_event(); });
 }
 
-void FluidNetwork::recompute() {
+void FluidNetwork::on_instant_end(void* self) {
+  static_cast<FluidNetwork*>(self)->flush();
+}
+
+void FluidNetwork::solve() {
+  solve_pending_ = false;
   ProfileScope prof(profile_sink_, profile_phase_recompute_);
   ++solve_count_;
   solve_max_min();
@@ -465,7 +480,7 @@ void FluidNetwork::on_completion_event() {
       }
     }
   }
-  recompute();
+  request_solve();
   // completed_flow_count() counts at delivery (drain + extra_latency), like
   // the zero-byte path — never ahead of the observable callbacks.
   for (auto& [latency, cb] : done) {
@@ -476,7 +491,7 @@ void FluidNetwork::on_completion_event() {
       });
     } else {
       ++completed_;
-      if (cb) cb();  // may start new flows; recompute happens in start_flow
+      if (cb) cb();  // may start new flows; the instant's one solve follows
     }
   }
 }

@@ -8,6 +8,21 @@
 // simulators and is exact for the dedicated point-to-point circuits of a
 // photonic rail.
 //
+// Re-solves are coalesced per simulated instant. A change (start, abort,
+// completion, capacity) only marks the network dirty and requests the
+// simulator's end-of-instant hook; the hook runs one solve after the last
+// event of the instant. A collective that starts one flow per circuit at one
+// instant therefore costs one solve, not one per flow. The rates are the
+// ones a solve per change would end the instant with: no simulated time
+// passes between same-instant changes, so intermediate rates move no bytes,
+// and the final solve recomputes every rate from scratch. (Two rounding-
+// level differences remain possible: a flow whose rate ends the instant
+// where it began keeps its earlier drain projection instead of one
+// re-rounded from now(), and the completion event takes its sequence number
+// at the instant's end.) Reads that need the current rates (flow_rate_bps,
+// allocated_bps) flush a pending solve first; flow_remaining does not need
+// to, since the previous rates hold up to now().
+//
 // The solver scales with *active* state, not lifetime state: each re-solve
 // touches only the links crossed by at least one active flow (epoch-stamped
 // scratch arrays avoid per-solve clearing), per-link flow indices make
@@ -55,7 +70,11 @@ struct Link {
 /// The fluid-flow engine. One instance models the whole cluster's data plane.
 class FluidNetwork {
  public:
-  explicit FluidNetwork(sim::Simulator& sim) : sim_(sim) {}
+  explicit FluidNetwork(sim::Simulator& sim);
+  /// Unregisters the solve hook and cancels the completion event, so a
+  /// network destroyed before its simulator leaves nothing behind that
+  /// would call into it.
+  ~FluidNetwork();
   FluidNetwork(const FluidNetwork&) = delete;
   FluidNetwork& operator=(const FluidNetwork&) = delete;
 
@@ -81,7 +100,7 @@ class FluidNetwork {
   bool link_retired(LinkId link) const;
 
   /// Changes a link's capacity (used for failure injection / degradation
-  /// tests). Active flows immediately re-share.
+  /// tests). Active flows re-share at the end of the current instant.
   void set_capacity(LinkId link, Bandwidth capacity);
 
   /// Starts a flow of `bytes` over `path` (ordered, duplicate-free link ids).
@@ -114,7 +133,7 @@ class FluidNetwork {
   }
 
   /// Current rate of an active flow in bits/sec (0 for stalled flows and
-  /// pending zero-byte flows).
+  /// pending zero-byte flows). Runs a pending solve first.
   double flow_rate_bps(FlowId flow) const;
   /// Bytes not yet drained for an active flow.
   Bytes flow_remaining(FlowId flow) const;
@@ -135,13 +154,15 @@ class FluidNetwork {
   /// Sum of the current rates (bits/sec) of the flows crossing `link`.
   /// Never exceeds the link capacity (a max-min allocation invariant; the
   /// sum is clamped so bottleneck-set freezing cannot overshoot by
-  /// floating-point slack). O(flows on the link).
+  /// floating-point slack). O(flows on the link). Runs a pending solve
+  /// first.
   double allocated_bps(LinkId link) const;
   /// Flows whose drain completed *and* whose completion was delivered
   /// (zero-byte flows count when their latency elapses, not at start_flow).
   std::uint64_t completed_flow_count() const { return completed_; }
 
-  /// Max-min re-solves performed (recompute calls). Telemetry gauge.
+  /// Max-min solves performed: at most one per simulated instant with a
+  /// change, plus one per rate read that had to flush. Telemetry gauge.
   std::int64_t solve_count() const { return solve_count_; }
   /// Progressive-filling rounds across all solves: each round freezes one
   /// bottleneck set. Telemetry gauge.
@@ -151,8 +172,8 @@ class FluidNetwork {
     return frozen_bottleneck_links_;
   }
 
-  /// Opt-in wall-clock sink timing each re-solve (obs self-profiling).
-  /// Null (the default) costs one branch per recompute.
+  /// Opt-in wall-clock sink timing each solve (obs self-profiling).
+  /// Null (the default) costs one branch per solve.
   void set_profile_sink(ProfileSink* sink);
 
  private:
@@ -238,8 +259,20 @@ class FluidNetwork {
   void push_completion(TimeNs time, std::uint32_t slot,
                        std::uint32_t generation);
   void pop_completion_top();
+  /// Marks the rates stale and requests the end-of-instant solve.
+  void request_solve() {
+    if (solve_pending_) return;
+    solve_pending_ = true;
+    sim_.request_instant_hook(solve_hook_);
+  }
+  /// The end-of-instant hook: runs the pending solve, if any.
+  static void on_instant_end(void* self);
+  /// Runs a pending solve now (rate reads mid-instant).
+  void flush() const {
+    if (solve_pending_) const_cast<FluidNetwork*>(this)->solve();
+  }
   /// Re-solves max-min fair rates and reschedules the completion event.
-  void recompute();
+  void solve();
   void solve_max_min();
   /// Drops stale heap entries, compacts a bloated heap, and (re)schedules
   /// the single completion event at the heap's earliest valid instant.
@@ -250,6 +283,10 @@ class FluidNetwork {
   void remove_from_draining(Flow& f);
 
   sim::Simulator& sim_;
+  /// Handle of on_instant_end in the simulator's hook table.
+  int solve_hook_ = -1;
+  /// A change since the last solve left the rates stale.
+  bool solve_pending_ = false;
   std::vector<Link> links_;
   std::vector<LinkState> link_state_;
   /// links_[i].capacity.bytes_per_ns(), cached so the solve's per-touched-
@@ -292,7 +329,7 @@ class FluidNetwork {
   std::int64_t solve_rounds_ = 0;
   std::int64_t frozen_bottleneck_links_ = 0;
 
-  // Opt-in wall-clock profiling of the re-solve (null = off).
+  // Opt-in wall-clock profiling of the solve (null = off).
   ProfileSink* profile_sink_ = nullptr;
   int profile_phase_recompute_ = -1;
 };

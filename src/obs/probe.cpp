@@ -85,8 +85,9 @@ void Probe::tick() {
   // counts everything except this tick: rescheduling only while other
   // events remain pending guarantees the probe never keeps an otherwise
   // drained simulation alive (at most one trailing sample lands past the
-  // final workload event).
-  if (sim_.pending_events() > 0) {
+  // final workload event). A due end-of-instant hook is pending work too:
+  // the fluid network schedules its next completion from one.
+  if (sim_.pending_events() > 0 || sim_.instant_hooks_due()) {
     sim_.schedule_after(interval_, [this] { tick(); });
   }
 }

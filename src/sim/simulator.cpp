@@ -147,6 +147,10 @@ bool Simulator::position() {
   // without firing it. Returns false when no live events remain.
   for (;;) {
     if (drain_idx_ < 0) {
+      // The instant's bucket is exhausted: requested hooks run here, while
+      // base_ still sits at or before now(), so whatever they schedule files
+      // relative to the current origin instead of forcing a rebase.
+      if (!hooks_due_.empty()) run_instant_hooks();
       const int idx = settle();
       if (idx < 0) return false;
       drain_idx_ = idx;
@@ -167,8 +171,16 @@ bool Simulator::position() {
     auto& v = wheels_[0].bucket[static_cast<std::size_t>(drain_idx_)];
     while (drain_pos_ < v.size()) {
       const Entry& e = v[drain_pos_];
-      if (e.time == drain_time_ && callbacks_.contains(e.id)) return true;
+      if (e.time == drain_time_ && callbacks_.contains(e.id)) break;
       ++drain_pos_;  // dead lap straggler or tombstone
+    }
+    if (drain_pos_ < v.size()) {
+      if (drain_time_ == now_ || hooks_due_.empty()) return true;
+      // A hook requested outside the drain loop (between run_until calls)
+      // must run before the clock moves to the parked, later entry. What it
+      // schedules may precede that entry, so re-position afterwards.
+      run_instant_hooks();
+      continue;
     }
     v.clear();
     wheels_[0].occupied &= ~bit(drain_idx_);
@@ -205,6 +217,36 @@ std::uint64_t Simulator::run_until(TimeNs limit) {
   }
   if (now_ < limit) now_ = limit;
   return n;
+}
+
+void Simulator::run_instant_hooks() {
+  // Each round runs the hooks requested so far; hooks requested while a
+  // round runs (a hook may request itself) run in the next round.
+  while (!hooks_due_.empty()) {
+    hooks_running_.swap(hooks_due_);
+    for (const int handle : hooks_running_) {
+      Hook& h = hooks_[static_cast<std::size_t>(handle)];
+      if (!h.due) continue;  // unregistered since the request
+      h.due = false;
+      const InstantHook fn = h.fn;  // the call may grow hooks_
+      fn(h.ctx);
+    }
+    hooks_running_.clear();
+  }
+}
+
+int Simulator::register_instant_hook(InstantHook fn, void* ctx) {
+  ensure(fn != nullptr, "Simulator::register_instant_hook: null hook");
+  hooks_.push_back(Hook{fn, ctx, false});
+  return static_cast<int>(hooks_.size() - 1);
+}
+
+void Simulator::unregister_instant_hook(int handle) {
+  ensure(handle >= 0 && static_cast<std::size_t>(handle) < hooks_.size() &&
+             hooks_[static_cast<std::size_t>(handle)].fn != nullptr,
+         "Simulator::unregister_instant_hook: unknown hook");
+  hooks_[static_cast<std::size_t>(handle)] = Hook{};
+  std::erase(hooks_due_, handle);
 }
 
 void Simulator::set_profile_sink(ProfileSink* sink) {

@@ -19,6 +19,19 @@
 // bucket holds exactly one timestamp, and its entries are sorted by
 // sequence number before delivery, so the total order is (time, seq) —
 // bit-identical to the binary heap it replaced.
+//
+// End-of-instant hooks sit outside that order. A component that batches
+// work per simulated instant (the fluid network's max-min re-solve)
+// registers a hook once and requests it whenever it has pending work;
+// repeated requests within one instant coalesce. Every requested hook runs
+// once after the last event at now() has fired and before the clock leaves
+// now(): when the instant's bucket is exhausted (before the calendar origin
+// advances, so events the hook schedules at or after now() file without a
+// rebase), and also before any later event fires, which covers requests
+// made between run_until calls. A hook may schedule events at now(); they
+// fire in the same instant, and hooks they request run again after them.
+// Dispatch is a plain function pointer plus a context pointer: one
+// indirect call per requested hook per instant, no allocation.
 #pragma once
 
 #include <array>
@@ -91,7 +104,39 @@ class Simulator {
   /// self-profiling). Null (the default) costs one branch per drain.
   void set_profile_sink(ProfileSink* sink);
 
+  /// An end-of-instant hook: `fn(ctx)` runs once per instant it was
+  /// requested in (see the header comment).
+  using InstantHook = void (*)(void* ctx);
+
+  /// Registers a hook and returns its handle. The hook runs only when
+  /// requested.
+  int register_instant_hook(InstantHook fn, void* ctx);
+
+  /// Removes a hook; a pending request is dropped.
+  void unregister_instant_hook(int handle);
+
+  /// Asks for the hook to run before the clock leaves now(). Requests made
+  /// while the hook is already due are no-ops; a hook may re-request itself
+  /// while it runs and then runs again within the same instant.
+  void request_instant_hook(int handle) {
+    ensure(handle >= 0 && static_cast<std::size_t>(handle) < hooks_.size() &&
+               hooks_[static_cast<std::size_t>(handle)].fn != nullptr,
+           "Simulator::request_instant_hook: unknown hook");
+    Hook& h = hooks_[static_cast<std::size_t>(handle)];
+    if (h.due) return;
+    h.due = true;
+    hooks_due_.push_back(handle);
+  }
+
+  /// True while some requested hook has not yet run.
+  bool instant_hooks_due() const { return !hooks_due_.empty(); }
+
  private:
+  struct Hook {
+    InstantHook fn = nullptr;  ///< null once unregistered
+    void* ctx = nullptr;
+    bool due = false;
+  };
   struct Entry {
     TimeNs time;
     std::uint64_t seq;
@@ -123,6 +168,8 @@ class Simulator {
   bool position();
   /// Fires the next live event, if any. Returns false if the queue is empty.
   bool fire_next();
+  /// Runs every requested hook, including ones requested by hooks that run.
+  void run_instant_hooks();
 
   TimeNs now_ = 0;
   /// All live entries have time >= base_ (the calendar's origin; advances
@@ -141,6 +188,12 @@ class Simulator {
   std::unordered_map<EventId, Callback> callbacks_;
   ProfileSink* profile_sink_ = nullptr;
   int profile_phase_run_ = -1;
+  std::vector<Hook> hooks_;
+  /// Handles of the requested hooks, in request order.
+  std::vector<int> hooks_due_;
+  /// The round run_instant_hooks is working through (swapped with
+  /// hooks_due_ so hooks may request hooks while it iterates).
+  std::vector<int> hooks_running_;
 };
 
 }  // namespace opus::sim

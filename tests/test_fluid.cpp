@@ -1,6 +1,8 @@
 // Unit tests for the max-min fair fluid flow network.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.h"
 #include "net/fluid.h"
 #include "sim/simulator.h"
@@ -162,6 +164,81 @@ TEST_F(FluidTest, ActiveFlowsOnCountsPathMembership) {
   net.start_flow({l1}, 1'000'000'000, 0, nullptr);
   EXPECT_EQ(net.active_flows_on(l1), 2);
   EXPECT_EQ(net.active_flows_on(l2), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Same-instant coalescing: one solve per simulated instant.
+// ---------------------------------------------------------------------------
+
+TEST_F(FluidTest, BurstOfStartsInOneEventSolvesOnce) {
+  // One flow per circuit, all started by one event: the shape of a
+  // collective on a photonic rail.
+  constexpr int kFlows = 256;
+  std::vector<LinkId> links;
+  for (int i = 0; i < kFlows; ++i) links.push_back(net.add_link(k100G));
+  std::vector<TimeNs> done(kFlows, -1);
+  sim.schedule_at(usecs(1), [&] {
+    for (int i = 0; i < kFlows; ++i) {
+      // 1.25 MB * (i+1) at 12.5 GB/s -> 100 us * (i+1).
+      net.start_flow({links[static_cast<std::size_t>(i)]},
+                     1'250'000 * static_cast<Bytes>(i + 1), 0,
+                     [&done, i, this] {
+                       done[static_cast<std::size_t>(i)] = sim.now();
+                     });
+    }
+  });
+  const std::int64_t before = net.solve_count();
+  sim.run_until(usecs(1));
+  EXPECT_EQ(net.solve_count() - before, 1);
+  sim.run();
+  for (int i = 0; i < kFlows; ++i) {
+    EXPECT_EQ(done[static_cast<std::size_t>(i)], usecs(1) + usecs(100) * (i + 1))
+        << "flow " << i;
+  }
+  // One solve per distinct completion instant, plus the burst's.
+  EXPECT_EQ(net.solve_count() - before, 1 + kFlows);
+}
+
+TEST_F(FluidTest, RateReadMidInstantIsFresh) {
+  const LinkId l = net.add_link(k100G);
+  double solo = -1.0;
+  double shared = -1.0;
+  sim.schedule_at(usecs(1), [&] {
+    const FlowId a = net.start_flow({l}, 125'000'000, 0, nullptr);
+    solo = net.flow_rate_bps(a);
+    net.start_flow({l}, 125'000'000, 0, nullptr);
+    shared = net.flow_rate_bps(a);
+    EXPECT_NEAR(net.allocated_bps(l), 100e9, 1e3);
+  });
+  sim.run_until(usecs(1));
+  EXPECT_NEAR(solo, 100e9, 1e3);
+  EXPECT_NEAR(shared, 50e9, 1e3);
+  // Two flushing reads, then nothing left for the instant's end.
+  EXPECT_EQ(net.solve_count(), 2);
+}
+
+TEST(FluidLifetime, NetworkDestroyedBeforeSimulatorLeavesNoHook) {
+  sim::Simulator sim;
+  bool fired = false;
+  {
+    FluidNetwork net(sim);
+    const LinkId l = net.add_link(k100G);
+    net.start_flow({l}, 125'000'000, 0, [&] { fired = true; });
+    EXPECT_TRUE(sim.instant_hooks_due()) << "the solve is still pending";
+  }
+  EXPECT_FALSE(sim.instant_hooks_due());
+  EXPECT_EQ(sim.run(), 0u);
+  {
+    // Destroyed with its completion event scheduled: the event goes too.
+    FluidNetwork net(sim);
+    const LinkId l = net.add_link(k100G);
+    net.start_flow({l}, 125'000'000, 0, [&] { fired = true; });
+    sim.run_until(sim.now());
+    EXPECT_EQ(sim.pending_events(), 1u);
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_FALSE(fired);
 }
 
 // Property sweep: N equal flows on one link each get capacity/N and all

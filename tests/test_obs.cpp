@@ -130,6 +130,34 @@ TEST(Probe, SamplesEveryIntervalPlusAtMostOneTrailing) {
   EXPECT_EQ(sim.now(), 400);
 }
 
+TEST(Probe, DueInstantHookCountsAsPendingWork) {
+  // The fluid network's shape: an event requests an end-of-instant hook,
+  // and only the hook schedules the next event. A tick in between, with the
+  // event queue momentarily empty, must keep sampling.
+  sim::Simulator sim;
+  obs::MetricsRegistry registry;
+  registry.add_counter("c");
+  struct Ctx {
+    sim::Simulator* sim;
+    bool fired_later = false;
+  } ctx{&sim};
+  const int hook = sim.register_instant_hook(
+      [](void* c) {
+        auto* x = static_cast<Ctx*>(c);
+        x->sim->schedule_at(250, [x] { x->fired_later = true; });
+      },
+      &ctx);
+  sim.schedule_at(100, [&] { sim.request_instant_hook(hook); });
+  obs::Probe probe(sim, registry, 100);
+  probe.start();  // its tick at 100 fires after the request above
+  sim.run();
+  EXPECT_TRUE(ctx.fired_later);
+  // 0/100/200 while work remains, then the trailing sample at 300.
+  const obs::Series& series = probe.series();
+  ASSERT_EQ(series.row_count(), 4u);
+  EXPECT_EQ(series.time(3), 300);
+}
+
 TEST(Probe, EmptySimulationGetsExactlyTwoSamples) {
   sim::Simulator sim;
   obs::MetricsRegistry registry;

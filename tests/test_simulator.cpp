@@ -1,7 +1,10 @@
 // Unit tests for the discrete-event engine: ordering, determinism,
-// cancellation, and the run_until / run_steps contracts.
+// cancellation, the run_until / run_steps contracts, and end-of-instant
+// hooks.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -263,6 +266,159 @@ TEST(Simulator, MidDrainSameInstantAppendFiresLast) {
   sim.schedule_at(5, [&] { order.push_back(3); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+// ---------------------------------------------------------------------------
+// End-of-instant hooks.
+// ---------------------------------------------------------------------------
+
+/// Test hook context: counts runs and records the instant of the last one.
+struct HookProbe {
+  Simulator* sim = nullptr;
+  int runs = 0;
+  TimeNs last_run = -1;
+  static void hook(void* ctx) {
+    auto* p = static_cast<HookProbe*>(ctx);
+    ++p->runs;
+    p->last_run = p->sim->now();
+  }
+};
+
+TEST(Simulator, SeveralRequestsInOneInstantRunHookOnce) {
+  Simulator sim;
+  HookProbe probe{&sim};
+  const int h = sim.register_instant_hook(&HookProbe::hook, &probe);
+  sim.schedule_at(10, [&] {
+    sim.request_instant_hook(h);
+    sim.request_instant_hook(h);
+    EXPECT_EQ(probe.runs, 0) << "the hook waits for the instant's end";
+  });
+  sim.schedule_at(10, [&] {
+    sim.request_instant_hook(h);
+    EXPECT_EQ(probe.runs, 0);
+  });
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(probe.runs, 1);
+  EXPECT_EQ(probe.last_run, 10);
+  EXPECT_FALSE(sim.instant_hooks_due());
+}
+
+TEST(Simulator, EventOneNanosecondLaterSeesHookEffect) {
+  Simulator sim;
+  HookProbe probe{&sim};
+  const int h = sim.register_instant_hook(&HookProbe::hook, &probe);
+  std::vector<int> seen;
+  sim.schedule_at(5, [&] { sim.request_instant_hook(h); });
+  sim.schedule_at(5, [&] { seen.push_back(probe.runs); });  // same instant
+  sim.schedule_at(6, [&] { seen.push_back(probe.runs); });
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<int>{0, 1}));
+  EXPECT_EQ(probe.last_run, 5);
+}
+
+TEST(Simulator, HookRequestedBetweenRunUntilCallsRunsBeforeNextEvent) {
+  Simulator sim;
+  HookProbe probe{&sim};
+  const int h = sim.register_instant_hook(&HookProbe::hook, &probe);
+  int runs_seen_by_event = -1;
+  sim.schedule_at(100, [&] { runs_seen_by_event = probe.runs; });
+  EXPECT_EQ(sim.run_until(50), 0u);  // peeks the event at 100
+  sim.request_instant_hook(h);       // a change made outside the loop
+  sim.run_until(200);
+  EXPECT_EQ(runs_seen_by_event, 1);
+  EXPECT_EQ(probe.last_run, 50) << "the hook runs at the instant it was "
+                                   "requested in, not at the next event";
+}
+
+TEST(Simulator, HookRequestedWithEmptyQueueRunsInRun) {
+  Simulator sim;
+  HookProbe probe{&sim};
+  const int h = sim.register_instant_hook(&HookProbe::hook, &probe);
+  sim.request_instant_hook(h);
+  EXPECT_TRUE(sim.instant_hooks_due());
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(probe.runs, 1);
+  EXPECT_EQ(probe.last_run, 0);
+  // run_until(now()) closes the instant too.
+  sim.request_instant_hook(h);
+  EXPECT_EQ(sim.run_until(sim.now()), 0u);
+  EXPECT_EQ(probe.runs, 2);
+}
+
+TEST(Simulator, HookSchedulingLaterEventsKeepsTimeSeqOrder) {
+  // The hook at instant 10 schedules events between now() and an already
+  // pending event, and at the pending event's own instant. Hooks run while
+  // the calendar origin still sits at now(), so these inserts file ahead of
+  // the origin without a rebase; either way the (time, seq) order must hold.
+  Simulator sim;
+  std::vector<std::pair<int, TimeNs>> fired;
+  auto record = [&](int tag) {
+    return [&fired, &sim, tag] { fired.emplace_back(tag, sim.now()); };
+  };
+  struct Ctx {
+    Simulator* sim;
+    std::function<void()> body;
+  } ctx{&sim, nullptr};
+  const int h = sim.register_instant_hook(
+      [](void* c) { static_cast<Ctx*>(c)->body(); }, &ctx);
+  ctx.body = [&] {
+    sim.schedule_at(60, record(3));         // same instant as a pending event
+    sim.schedule_at(40, record(2));         // before every pending event
+    sim.schedule_at(1'000'000, record(5));  // a higher wheel level
+  };
+  sim.schedule_at(60, record(1));          // pending before the hook runs
+  sim.schedule_at(1'000'000, record(4));
+  sim.schedule_at(10, [&] { sim.request_instant_hook(h); });
+  EXPECT_EQ(sim.run(), 6u);
+  EXPECT_EQ(fired, (std::vector<std::pair<int, TimeNs>>{
+                       {2, 40}, {1, 60}, {3, 60}, {4, 1'000'000},
+                       {5, 1'000'000}}));
+}
+
+TEST(Simulator, HookEventAtNowFiresInSameInstantAndHookRunsAgain) {
+  Simulator sim;
+  std::vector<std::pair<int, TimeNs>> log;
+  struct Ctx {
+    Simulator* sim;
+    std::vector<std::pair<int, TimeNs>>* log;
+    int handle = -1;
+    int runs = 0;
+  } ctx{&sim, &log};
+  ctx.handle = sim.register_instant_hook(
+      [](void* c) {
+        auto* x = static_cast<Ctx*>(c);
+        x->log->emplace_back(100 + x->runs, x->sim->now());
+        if (x->runs++ == 0) {
+          // An event at now(): it fires within this instant and its
+          // request runs the hook again before the clock moves on.
+          x->sim->schedule_at(x->sim->now(), [x] {
+            x->log->emplace_back(1, x->sim->now());
+            x->sim->request_instant_hook(x->handle);
+          });
+        }
+      },
+      &ctx);
+  sim.schedule_at(7, [&] { sim.request_instant_hook(ctx.handle); });
+  sim.schedule_at(8, [&] { log.emplace_back(2, sim.now()); });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::pair<int, TimeNs>>{
+                     {100, 7}, {1, 7}, {101, 7}, {2, 8}}));
+}
+
+TEST(Simulator, UnregisteredHookNeverRuns) {
+  Simulator sim;
+  HookProbe a{&sim};
+  HookProbe b{&sim};
+  const int ha = sim.register_instant_hook(&HookProbe::hook, &a);
+  const int hb = sim.register_instant_hook(&HookProbe::hook, &b);
+  sim.request_instant_hook(ha);
+  sim.request_instant_hook(hb);
+  sim.unregister_instant_hook(ha);  // drops its pending request
+  sim.run();
+  EXPECT_EQ(a.runs, 0);
+  EXPECT_EQ(b.runs, 1);
+  EXPECT_THROW(sim.unregister_instant_hook(ha), InvariantError);
+  EXPECT_THROW(sim.request_instant_hook(ha), InvariantError);
 }
 
 TEST(Simulator, DeterministicAcrossRuns) {
